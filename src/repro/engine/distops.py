@@ -18,6 +18,9 @@ schedules:
 * :func:`assemble_cols_1d` — the column-chunk counterpart used for the
   A01 panel, where each destination needs *all* rows of its column
   chunk gathered from several sources;
+* :func:`plane_pieces`, :func:`fan_in` — the 2.5D fan-out of steps 8
+  and 10: cut the 1D chunks into per-(grid index, layer) pieces once,
+  then ship each rank its pieces and join them on arrival;
 * :func:`bcast_copy`, :func:`swap_rows_2d`, :func:`maxloc_allreduce` —
   the recurring patterns of the 2D block-cyclic schedules (panel/tile
   broadcasts, cross-matrix pivot-row exchange, MAXLOC pivot search),
@@ -39,6 +42,8 @@ __all__ = [
     "fiber_reduce_subset",
     "distribute_rows_1d",
     "assemble_cols_1d",
+    "plane_pieces",
+    "fan_in",
     "bcast_copy",
     "swap_rows_2d",
     "maxloc_allreduce",
@@ -161,36 +166,39 @@ def distribute_rows_1d(machine: Machine,
                        ) -> list[tuple[np.ndarray, np.ndarray | None]]:
     """1D-scatter panel rows contiguously over all ranks.
 
-    ``pieces`` is ``(owner_rank, global_row_ids, block)`` triples; the
-    union of rows, ordered by global id, is split into ``nranks``
-    contiguous chunks, chunk ``r`` assembled in rank ``r``'s store under
-    ``(key_tag, "1d")``.  Returns per-rank ``(row_ids, block)`` (block
-    None for empty chunks).  Only cross-rank pieces are counted.
+    ``pieces`` is ``(owner_rank, global_row_ids, block)`` triples with
+    distinct row ids; the union of rows, ordered by global id, is split
+    into ``nranks`` contiguous chunks, chunk ``r`` assembled in rank
+    ``r``'s store under ``(key_tag, "1d")``.  Each source ships its
+    rows of a chunk as one block, sources in order of their first row.
+    Returns per-rank ``(row_ids, block)`` (block None for empty
+    chunks).  Only cross-rank pieces are counted.
     """
-    src_of: dict[int, tuple[int, np.ndarray]] = {}
-    for owner, ids, block in pieces:
-        for i, g in enumerate(np.asarray(ids, dtype=int)):
-            src_of[int(g)] = (owner, block[i])
-    order = np.array(sorted(src_of), dtype=int)
+    if not pieces:
+        return [(np.zeros(0, dtype=int), None) for _ in range(nranks)]
+    ids = np.concatenate([np.asarray(g, dtype=int) for _, g, _ in pieces])
+    order = np.argsort(ids, kind="stable")
+    ids = ids[order]
+    owners = np.repeat([int(o) for o, _, _ in pieces],
+                       [len(g) for _, g, _ in pieces])[order]
+    rows = np.concatenate([b for _, _, b in pieces])[order]
     out: list[tuple[np.ndarray, np.ndarray | None]] = []
-    for dst, chunk in enumerate(np.array_split(order, nranks)):
+    lo = 0
+    for dst, chunk in enumerate(np.array_split(ids, nranks)):
+        hi = lo + chunk.size
         if chunk.size == 0:
             out.append((chunk, None))
             continue
-        by_src: dict[int, list[int]] = {}
-        for g in chunk:
-            by_src.setdefault(src_of[int(g)][0], []).append(int(g))
-        rows: dict[int, np.ndarray] = {}
-        for src, gids in by_src.items():
-            block = np.stack([src_of[g][1] for g in gids])
-            ship(machine, src, dst, (key_tag, "s", src), block)
-            arrived = machine.store(dst).get((key_tag, "s", src))
-            for g, row in zip(gids, arrived):
-                rows[g] = row
-            machine.store(dst).discard((key_tag, "s", src))
-        chunk_block = np.stack([rows[int(g)] for g in chunk])
+        own, part = owners[lo:hi], rows[lo:hi]
+        chunk_block = np.empty_like(part)
+        srcs, first = np.unique(own, return_index=True)
+        for src in srcs[np.argsort(first)].tolist():
+            mask = own == src
+            ship(machine, src, dst, (key_tag, "s", src), part[mask])
+            chunk_block[mask] = machine.store(dst).pop((key_tag, "s", src))
         machine.store(dst).put((key_tag, "1d"), chunk_block)
         out.append((chunk, chunk_block))
+        lo = hi
     return out
 
 
@@ -208,27 +216,98 @@ def assemble_cols_1d(machine: Machine,
     chunk and the destination stitches them in ``row_order`` under
     ``(key_tag, "1d")``.  Returns per-rank ``(col_ids, block)``.
     """
-    row_pos = {int(g): i for i, g in enumerate(row_order)}
-    col_order = np.array(sorted({int(cg) for _, _, cids, _ in pieces
-                                 for cg in cids}), dtype=int)
+    row_order = np.asarray(row_order, dtype=int)
+    col_order = np.unique(np.concatenate(
+        [np.zeros(0, dtype=int)]
+        + [np.asarray(cids, dtype=int) for _, _, cids, _ in pieces]))
+    chunks = np.array_split(col_order, nranks)
+    sizes = [chunk.size for chunk in chunks]
+    dst_of = np.repeat(np.arange(nranks), sizes)
+    start = np.cumsum([0] + sizes)
+    row_pos = np.zeros(row_order.max(initial=-1) + 1, dtype=int)
+    row_pos[row_order] = np.arange(row_order.size)
+    # Which destination each piece column goes to, worked out per
+    # piece; the ships then run destination by destination.
+    per_dst: list[list[tuple]] = [[] for _ in range(nranks)]
+    for idx, (src, rids, cids, block) in enumerate(pieces):
+        pos = np.searchsorted(col_order, np.asarray(cids, dtype=int))
+        dsts = dst_of[pos]
+        ri = row_pos[np.asarray(rids, dtype=int)]
+        for dst in np.unique(dsts).tolist():
+            csel = np.flatnonzero(dsts == dst)
+            per_dst[dst].append((idx, src, block[:, csel], ri,
+                                 pos[csel] - start[dst]))
     out: list[tuple[np.ndarray, np.ndarray | None]] = []
-    for dst, chunk in enumerate(np.array_split(col_order, nranks)):
+    for dst, chunk in enumerate(chunks):
         if chunk.size == 0:
             out.append((chunk, None))
             continue
-        col_pos = {int(cg): i for i, cg in enumerate(chunk)}
         acc = np.zeros((len(row_order), chunk.size))
-        for idx, (src, rids, cids, block) in enumerate(pieces):
-            csel = [i for i, cg in enumerate(cids) if int(cg) in col_pos]
-            if not csel:
-                continue
-            sub = block[:, csel]
+        for idx, src, sub, ri, ci in per_dst[dst]:
             ship(machine, src, dst, (key_tag, "s", src, idx), sub)
-            arrived = machine.store(dst).get((key_tag, "s", src, idx))
-            ri = [row_pos[int(g)] for g in rids]
-            ci = [col_pos[int(cids[i])] for i in csel]
-            acc[np.ix_(ri, ci)] = arrived
-            machine.store(dst).discard((key_tag, "s", src, idx))
+            acc[np.ix_(ri, ci)] = machine.store(dst).pop(
+                (key_tag, "s", src, idx))
         machine.store(dst).put((key_tag, "1d"), acc)
         out.append((chunk, acc))
     return out
+
+
+def plane_pieces(chunks: Sequence[tuple[np.ndarray, np.ndarray | None]],
+                 v: int, parts: int, planes: int, layers: int,
+                 axis: int = 0) -> list[list[dict[int, tuple]]]:
+    """Cut 1D panel chunks into the pieces of the 2.5D fan-out.
+
+    ``chunks[src]`` is ``(ids, block)`` (block None for an empty
+    chunk): ``ids`` index ``block`` along ``axis`` and are global row
+    (or column) ids, so entry ``g`` belongs to grid index
+    ``(g // v) % parts``; the other axis holds the ``v`` reduction
+    planes, of which layer ``k`` takes ``planes`` starting at
+    ``k * planes``.  Returns ``out[q][k]``: a dict mapping, in
+    ascending order, each source with entries on grid index ``q`` to
+    ``(ids, piece)`` for layer ``k``.  Every selection is made once
+    per grid index, not once per destination rank.
+    """
+    out: list[list[dict[int, tuple]]] = [
+        [{} for _ in range(layers)] for _ in range(parts)]
+    for src, (ids, block) in enumerate(chunks):
+        if block is None:
+            continue
+        grid_of = (ids // v) % parts
+        for q in np.unique(grid_of).tolist():
+            pos = np.flatnonzero(grid_of == q)
+            sub = np.take(block, pos, axis=axis)
+            for k in range(layers):
+                sl = slice(k * planes, (k + 1) * planes)
+                out[q][k][src] = (ids[pos], sub[:, sl] if axis == 0
+                                  else sub[sl, :])
+    return out
+
+
+def fan_in(machine: Machine, dst: int,
+           streams: Sequence[tuple[tuple, Mapping[int, tuple], int]],
+           ) -> list[tuple[np.ndarray, np.ndarray] | None]:
+    """Ship pieces from their sources to ``dst`` and join them there.
+
+    ``streams`` holds ``(key, pieces, axis)`` triples, ``pieces``
+    mapping a source rank to ``(ids, block)`` (see
+    :func:`plane_pieces`).  Sources are visited in ascending order; at
+    each, every stream with a piece from it ships the piece under
+    ``(*key, src)``, and ``dst`` takes it out of its store on arrival.
+    Each piece is one counted :func:`ship`, and the stores see the
+    same put/discard sequence as shipping the pieces one at a time.
+    Returns per stream ``(ids, joined)``, the arrived blocks
+    concatenated along ``axis`` in source order, or None for a stream
+    without pieces.
+    """
+    got: list[tuple[list, list]] = [([], []) for _ in streams]
+    srcs = sorted({src for _, pieces, _ in streams for src in pieces})
+    for src in srcs:
+        for (key, pieces, _), (ids, blocks) in zip(streams, got):
+            if src in pieces:
+                gids, piece = pieces[src]
+                ship(machine, src, dst, (*key, src), piece)
+                blocks.append(machine.store(dst).pop((*key, src)))
+                ids.append(gids)
+    return [(np.concatenate(ids), np.concatenate(blocks, axis=axis))
+            if ids else None
+            for (_, _, axis), (ids, blocks) in zip(streams, got)]

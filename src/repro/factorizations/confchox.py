@@ -33,7 +33,12 @@ import numpy as np
 
 from ..engine.accounting import StepAccounting
 from ..engine.backends import run_with
-from ..engine.distops import distribute_rows_1d, fiber_reduce_subset, ship
+from ..engine.distops import (
+    distribute_rows_1d,
+    fan_in,
+    fiber_reduce_subset,
+    plane_pieces,
+)
 from ..engine.schedule import Schedule
 from ..kernels import blas, flops
 from ..machine.comm import Machine
@@ -273,48 +278,35 @@ class ConfchoxSchedule(Schedule):
             # transposed right factor, its layer's v/c planes) and apply
             # the deferred symmetric update to the lower tiles.
             planes = v // c
+            row_pieces = plane_pieces(a10_chunks, v, pr, planes, c)
+            col_pieces = plane_pieces(a10_chunks, v, pc, planes, c)
+            rpos = np.zeros(n, dtype=int)
+            cpos = np.zeros(n, dtype=int)
             for dst in all_ranks:
                 pi_d, pj_d, pk_d = grid.coords(dst)
-                sl = slice(pk_d * planes, (pk_d + 1) * planes)
-                rows_map: dict[int, np.ndarray] = {}
-                cols_map: dict[int, np.ndarray] = {}
-                for src, (ids, blk) in enumerate(a10_chunks):
-                    if blk is None:
-                        continue
-                    rsel = [i for i, g in enumerate(ids)
-                            if (int(g) // v) % pr == pi_d]
-                    if rsel:
-                        ship(machine, src, dst, ("a10r", t, src),
-                             blk[rsel, sl])
-                        arrived = machine.store(dst).get(("a10r", t, src))
-                        for i, row in zip(rsel, arrived):
-                            rows_map[int(ids[i])] = row
-                        machine.store(dst).discard(("a10r", t, src))
-                    csel = [i for i, g in enumerate(ids)
-                            if (int(g) // v) % pc == pj_d]
-                    if csel:
-                        ship(machine, src, dst, ("a10c", t, src),
-                             blk[csel, sl])
-                        arrived = machine.store(dst).get(("a10c", t, src))
-                        for i, row in zip(csel, arrived):
-                            cols_map[int(ids[i])] = row
-                        machine.store(dst).discard(("a10c", t, src))
-                if not rows_map or not cols_map:
+                rows, cols = fan_in(machine, dst, [
+                    (("a10r", t), row_pieces[pi_d][pk_d], 0),
+                    (("a10c", t), col_pieces[pj_d][pk_d], 0)])
+                if rows is None or cols is None:
                     continue
+                (rids, rows_all), (cids, cols_all) = rows, cols
+                rpos[rids] = np.arange(rids.size)
+                cpos[cids] = np.arange(cids.size)
+                a10_bj = {bj: cols_all[cpos[bj * v:(bj + 1) * v]]
+                          for bj in range(t + 1, nb) if bj % pc == pj_d}
+                store = machine.store(dst)
+                ntiles = 0
                 for bi in range(t + 1, nb):
                     if bi % pr != pi_d:
                         continue
-                    a10_bi = np.stack([rows_map[g] for g in
-                                       range(bi * v, (bi + 1) * v)])
+                    a10_bi = rows_all[rpos[bi * v:(bi + 1) * v]]
                     for bj in range(t + 1, bi + 1):
                         if bj % pc != pj_d:
                             continue
-                        a10_bj = np.stack([cols_map[g] for g in
-                                           range(bj * v, (bj + 1) * v)])
-                        tile = machine.store(dst).get(("P", bi, bj))
-                        tile -= a10_bi @ a10_bj.T
-                        machine.compute(
-                            dst, flops.gemm_flops(v, v, planes))
+                        tile = store.get(("P", bi, bj))
+                        tile -= a10_bi @ a10_bj[bj].T
+                        ntiles += 1
+                machine.compute(dst, flops.gemm_flops(v, v * ntiles, planes))
 
         for bi in range(t, nb):
             machine.store(panel[bi]).discard(("cr", t, bi))

@@ -45,7 +45,9 @@ from ..engine.backends import run_with
 from ..engine.distops import (
     assemble_cols_1d,
     distribute_rows_1d,
+    fan_in,
     fiber_reduce_subset,
+    plane_pieces,
     ship,
 )
 from ..engine.schedule import Schedule
@@ -445,9 +447,7 @@ class ConfluxSchedule(Schedule):
         machine.store(tour_root).put(("piv", t), winners.astype(np.float64))
         machine.bcast(tour_root, all_ranks, ("piv", t))
 
-        piv_set = {int(g) for g in winners}
-        nonpiv = np.array([g for g in active if int(g) not in piv_set],
-                          dtype=int)
+        nonpiv = active[~np.isin(active, winners)]
         st.lower[winners, col0:col1] = l00
         st.upper[col0:col1, col0:col1] = np.triu(lu00)
         st.perm.extend(int(g) for g in winners)
@@ -459,9 +459,9 @@ class ConfluxSchedule(Schedule):
             pieces4: list[tuple[int, np.ndarray, np.ndarray]] = []
             for bi, (ids, root) in panel.items():
                 blk = machine.store(root).get(("cr", t, bi))
-                sel = [i for i, g in enumerate(ids) if int(g) not in piv_set]
-                if sel:
-                    pieces4.append((root, ids[sel], blk[sel, :]))
+                keep = ~np.isin(ids, winners)
+                if keep.any():
+                    pieces4.append((root, ids[keep], blk[keep, :]))
             a10_chunks = distribute_rows_1d(machine, pieces4, P, ("a10", t))
             for dst, (ids, blk) in enumerate(a10_chunks):
                 if blk is None:
@@ -521,55 +521,41 @@ class ConfluxSchedule(Schedule):
                 sel = nonpiv[(nonpiv >= bi * v) & (nonpiv < (bi + 1) * v)]
                 if sel.size:
                     nonpiv_by_tile[bi] = sel
+            a10_pieces = plane_pieces(a10_chunks, v, pr, planes, c, axis=0)
+            a01_pieces = plane_pieces(a01_chunks, v, pc, planes, c, axis=1)
+            rpos = np.zeros(n, dtype=int)
+            cpos = np.zeros(n, dtype=int)
             for dst in all_ranks:
                 pi_d, pj_d, pk_d = grid.coords(dst)
-                sl = slice(pk_d * planes, (pk_d + 1) * planes)
                 # Step 8: A10 rows living on this rank's grid row.
-                rows_map: dict[int, np.ndarray] = {}
-                for src, (ids, blk) in enumerate(a10_chunks):
-                    if blk is None:
-                        continue
-                    sel = [i for i, g in enumerate(ids)
-                           if (int(g) // v) % pr == pi_d]
-                    if not sel:
-                        continue
-                    ship(machine, src, dst, ("a10d", t, src), blk[sel, sl])
-                    arrived = machine.store(dst).get(("a10d", t, src))
-                    for i, row in zip(sel, arrived):
-                        rows_map[int(ids[i])] = row
-                    machine.store(dst).discard(("a10d", t, src))
+                [rows] = fan_in(machine, dst, [
+                    (("a10d", t), a10_pieces[pi_d][pk_d], 0)])
                 # Step 10: A01 columns living on this rank's grid column.
-                cols_map: dict[int, np.ndarray] = {}
-                for src, (cids, blk) in enumerate(a01_chunks):
-                    if blk is None:
-                        continue
-                    sel = [i for i, cg in enumerate(cids)
-                           if (int(cg) // v) % pc == pj_d]
-                    if not sel:
-                        continue
-                    ship(machine, src, dst, ("a01d", t, src), blk[sl, :][:, sel])
-                    arrived = machine.store(dst).get(("a01d", t, src))
-                    for i, j in enumerate(sel):
-                        cols_map[int(cids[j])] = arrived[:, i]
-                    machine.store(dst).discard(("a01d", t, src))
-                # Step 11: local update of this rank's trailing tiles.
-                if not rows_map or not cols_map:
+                [cols] = fan_in(machine, dst, [
+                    (("a01d", t), a01_pieces[pj_d][pk_d], 1)])
+                # Step 11: local update of this rank's trailing tiles,
+                # one product per tile on C-contiguous operands.
+                if rows is None or cols is None:
                     continue
+                (rids, a10_all), (cids, a01_all) = rows, cols
+                rpos[rids] = np.arange(rids.size)
+                cpos[cids] = np.arange(cids.size)
+                my_cols = [bj for bj in range(t + 1, nb) if bj % pc == pj_d]
+                a01_blks = [np.ascontiguousarray(
+                    a01_all[:, cpos[bj * v:(bj + 1) * v]]) for bj in my_cols]
+                store = machine.store(dst)
+                nrows = 0
                 for bi, gids in nonpiv_by_tile.items():
                     if bi % pr != pi_d:
                         continue
-                    a10_blk = np.stack([rows_map[int(g)] for g in gids])
+                    a10_blk = a10_all[rpos[gids]]
                     loc = gids - bi * v
-                    for bj in range(t + 1, nb):
-                        if bj % pc != pj_d:
-                            continue
-                        cols = range(bj * v, (bj + 1) * v)
-                        a01_blk = np.stack([cols_map[cg] for cg in cols],
-                                           axis=1)
-                        tile = machine.store(dst).get(("P", bi, bj))
+                    nrows += gids.size
+                    for bj, a01_blk in zip(my_cols, a01_blks):
+                        tile = store.get(("P", bi, bj))
                         tile[loc, :] -= a10_blk @ a01_blk
-                        machine.compute(
-                            dst, flops.gemm_flops(len(gids), v, planes))
+                machine.compute(dst, flops.gemm_flops(
+                    nrows, v * len(my_cols), planes))
 
         for r in all_ranks:
             machine.store(r).discard(("a00", t))

@@ -27,7 +27,13 @@ __all__ = [
 
 def _check_nonneg(**kwargs: float) -> None:
     for name, value in kwargs.items():
-        if np.any(np.asarray(value) < 0):
+        # Python scalars (np.float64 included) skip the array round trip:
+        # the distributed schedules call these in their inner loops.
+        if isinstance(value, (int, float)):
+            negative = value < 0
+        else:
+            negative = np.any(np.asarray(value) < 0)
+        if negative:
             raise ValueError(f"{name} must be non-negative, got {value}")
 
 

@@ -204,6 +204,22 @@ class TestFlopFormulas:
         with pytest.raises(ValueError):
             trsm_flops(2, -3)
 
+    @pytest.mark.parametrize("bad", [
+        -1, -0.5, np.float64(-2.0), np.int64(-3), np.array([1.0, -1.0]),
+        np.array(-4)])
+    def test_negative_rejected_for_every_value_type(self, bad):
+        with pytest.raises(ValueError, match="m must be non-negative"):
+            gemm_flops(bad, 2, 3)
+        with pytest.raises(ValueError, match="n must be non-negative"):
+            potrf_flops(bad)
+
+    @pytest.mark.parametrize("nan", [
+        float("nan"), np.float64("nan"), np.array([np.nan, 1.0])])
+    def test_nan_passes_the_check(self, nan):
+        # NaN compares false against zero, so it is not rejected.
+        np.testing.assert_array_equal(gemm_flops(nan, 2, 3),
+                                      12.0 * np.asarray(nan))
+
     def test_getrf_symmetric_in_orientation(self):
         # LAPACK count depends only on {m, n} extents for m>=n vs n>=m.
         assert getrf_flops(10, 4) == getrf_flops(4, 10)
