@@ -194,8 +194,8 @@ def distribute_rows_1d(machine: Machine,
         srcs, first = np.unique(own, return_index=True)
         for src in srcs[np.argsort(first)].tolist():
             mask = own == src
-            ship(machine, src, dst, (key_tag, "s", src), part[mask])
-            chunk_block[mask] = machine.store(dst).pop((key_tag, "s", src))
+            chunk_block[mask] = machine.deliver(src, dst, (key_tag, "s", src),
+                                                part[mask])
         machine.store(dst).put((key_tag, "1d"), chunk_block)
         out.append((chunk, chunk_block))
         lo = hi
@@ -244,9 +244,8 @@ def assemble_cols_1d(machine: Machine,
             continue
         acc = np.zeros((len(row_order), chunk.size))
         for idx, src, sub, ri, ci in per_dst[dst]:
-            ship(machine, src, dst, (key_tag, "s", src, idx), sub)
-            acc[np.ix_(ri, ci)] = machine.store(dst).pop(
-                (key_tag, "s", src, idx))
+            acc[np.ix_(ri, ci)] = machine.deliver(
+                src, dst, (key_tag, "s", src, idx), sub)
         machine.store(dst).put((key_tag, "1d"), acc)
         out.append((chunk, acc))
     return out
@@ -291,10 +290,10 @@ def fan_in(machine: Machine, dst: int,
     ``streams`` holds ``(key, pieces, axis)`` triples, ``pieces``
     mapping a source rank to ``(ids, block)`` (see
     :func:`plane_pieces`).  Sources are visited in ascending order; at
-    each, every stream with a piece from it ships the piece under
-    ``(*key, src)``, and ``dst`` takes it out of its store on arrival.
-    Each piece is one counted :func:`ship`, and the stores see the
-    same put/discard sequence as shipping the pieces one at a time.
+    each, every stream with a piece from it sends the piece under
+    ``(*key, src)``, and ``dst`` takes it out of its store on arrival:
+    one counted :meth:`Machine.deliver` per piece, charged exactly as
+    shipping the pieces one at a time.
     Returns per stream ``(ids, joined)``, the arrived blocks
     concatenated along ``axis`` in source order, or None for a stream
     without pieces.
@@ -305,8 +304,7 @@ def fan_in(machine: Machine, dst: int,
         for (key, pieces, _), (ids, blocks) in zip(streams, got):
             if src in pieces:
                 gids, piece = pieces[src]
-                ship(machine, src, dst, (*key, src), piece)
-                blocks.append(machine.store(dst).pop((*key, src)))
+                blocks.append(machine.deliver(src, dst, (*key, src), piece))
                 ids.append(gids)
     return [(np.concatenate(ids), np.concatenate(blocks, axis=axis))
             if ids else None

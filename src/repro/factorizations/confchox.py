@@ -44,7 +44,7 @@ from ..kernels import blas, flops
 from ..machine.comm import Machine
 from ..machine.grid import ProcessorGrid3D
 from .common import FactorizationResult
-from .conflux import resolve_25d
+from .conflux import rank_local_tiles, resolve_25d
 
 __all__ = ["ConfchoxCholesky", "ConfchoxSchedule", "confchox_cholesky"]
 
@@ -211,19 +211,18 @@ class ConfchoxSchedule(Schedule):
                 raise ValueError(f"matrix shape {a.shape} != ({n},{n})")
             if not np.allclose(a, a.T, atol=1e-10):
                 raise ValueError("input must be symmetric")
+        else:
+            a = None                  # layer 0 adopts the in_name tiles
+        st = _DistState(n, rank_local_tiles(grid, nb, v, a))
         for bi in range(nb):
             for bj in range(bi + 1):
-                r0 = grid.rank(bi % pr, bj % pc, 0)
-                if in_name is not None:
-                    tile = np.array(machine.store(r0).get((in_name, bi, bj)),
-                                    dtype=np.float64)
-                else:
-                    tile = a[bi * v:(bi + 1) * v, bj * v:(bj + 1) * v].copy()
-                machine.store(r0).put(("P", bi, bj), tile)
-                for k in range(1, c):
-                    machine.store(grid.rank(bi % pr, bj % pc, k)).put(
-                        ("P", bi, bj), np.zeros((v, v)))
-        return _DistState(n)
+                for k in range(c):
+                    r = grid.rank(bi % pr, bj % pc, k)
+                    tile = st.local[r][bi // pr, bj // pc]
+                    if k == 0 and in_name is not None:
+                        tile[...] = machine.store(r).get((in_name, bi, bj))
+                    machine.store(r).put(("P", bi, bj), tile)
+        return st
 
     def dist_step(self, machine: Machine, st: "_DistState", t: int) -> None:
         n, v, c = self.n, self.v, self.c
@@ -282,6 +281,7 @@ class ConfchoxSchedule(Schedule):
             col_pieces = plane_pieces(a10_chunks, v, pc, planes, c)
             rpos = np.zeros(n, dtype=int)
             cpos = np.zeros(n, dtype=int)
+            offs = np.arange(v)
             for dst in all_ranks:
                 pi_d, pj_d, pk_d = grid.coords(dst)
                 rows, cols = fan_in(machine, dst, [
@@ -292,21 +292,17 @@ class ConfchoxSchedule(Schedule):
                 (rids, rows_all), (cids, cols_all) = rows, cols
                 rpos[rids] = np.arange(rids.size)
                 cpos[cids] = np.arange(cids.size)
-                a10_bj = {bj: cols_all[cpos[bj * v:(bj + 1) * v]]
-                          for bj in range(t + 1, nb) if bj % pc == pj_d}
-                store = machine.store(dst)
-                ntiles = 0
-                for bi in range(t + 1, nb):
-                    if bi % pr != pi_d:
-                        continue
-                    a10_bi = rows_all[rpos[bi * v:(bi + 1) * v]]
-                    for bj in range(t + 1, bi + 1):
-                        if bj % pc != pj_d:
-                            continue
-                        tile = store.get(("P", bi, bj))
-                        tile -= a10_bi @ a10_bj[bj].T
-                        ntiles += 1
-                machine.compute(dst, flops.gemm_flops(v, v * ntiles, planes))
+                # One stacked product over the rank's lower trailing
+                # tiles; every slice is the per-tile product
+                # ``A10[bi] @ A10[bj].T`` on the same operand layout.
+                bis = np.arange(t + 1 + (pi_d - t - 1) % pr, nb, pr)
+                bjs = np.arange(t + 1 + (pj_d - t - 1) % pc, nb, pc)
+                lhs = rows_all[rpos[bis[:, None] * v + offs]]
+                rhs = cols_all[cpos[bjs[:, None] * v + offs]]
+                ii, jj = np.nonzero(bjs[None] <= bis[:, None])
+                st.local[dst][bis[ii] // pr, bjs[jj] // pc] -= np.matmul(
+                    lhs[ii], rhs[jj].transpose(0, 2, 1))
+                machine.compute(dst, flops.gemm_flops(v, v * ii.size, planes))
 
         for bi in range(t, nb):
             machine.store(panel[bi]).discard(("cr", t, bi))
@@ -320,9 +316,10 @@ class ConfchoxSchedule(Schedule):
 
 
 class _DistState:
-    __slots__ = ("lower",)
+    __slots__ = ("local", "lower")
 
-    def __init__(self, n: int) -> None:
+    def __init__(self, n: int, local: list[np.ndarray]) -> None:
+        self.local = local
         self.lower = np.zeros((n, n))
 
 

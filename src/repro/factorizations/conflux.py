@@ -118,6 +118,28 @@ def resolve_25d(n: int, nranks: int, v: int | None, c: int | None,
     return v, c, float(mem_words), grid
 
 
+def rank_local_tiles(grid: ProcessorGrid3D, nb: int, v: int,
+                     a: np.ndarray | None = None) -> list[np.ndarray]:
+    """Every rank's ``v x v`` partial tiles as one array.
+
+    The rank at grid ``(pi, pj, k)`` holds tile ``(bi, bj)`` (with
+    ``bi % Pr == pi`` and ``bj % Pc == pj``) at ``[bi // Pr, bj // Pc]``.
+    Layer 0 starts from the dense matrix ``a`` when given, every other
+    tile from zero.  The rank stores hold these tiles as views, so the
+    Schur update can write a rank's tiles with one indexed subtraction.
+    """
+    pr, pc = grid.rows, grid.cols
+    tiles = None if a is None else a.reshape(nb, v, nb, v).swapaxes(1, 2)
+    local = []
+    for r in range(grid.size):
+        pi, pj, k = grid.coords(r)
+        arr = np.zeros((len(range(pi, nb, pr)), len(range(pj, nb, pc)), v, v))
+        if k == 0 and tiles is not None:
+            arr[...] = tiles[pi::pr, pj::pc]
+        local.append(arr)
+    return local
+
+
 class _DenseState:
     """Global-view execution state (one replicated partial per layer)."""
 
@@ -133,11 +155,14 @@ class _DenseState:
 
 
 class _DistState:
-    """Distributed execution bookkeeping (data lives in rank stores)."""
+    """Distributed execution bookkeeping (data lives in rank stores;
+    ``local`` holds each rank's partial tiles, see
+    :func:`rank_local_tiles`)."""
 
-    __slots__ = ("rows_left", "lower", "upper", "perm")
+    __slots__ = ("local", "rows_left", "lower", "upper", "perm")
 
-    def __init__(self, n: int) -> None:
+    def __init__(self, n: int, local: list[np.ndarray]) -> None:
+        self.local = local
         self.rows_left = np.arange(n)
         self.lower = np.zeros((n, n))
         self.upper = np.zeros((n, n))
@@ -381,16 +406,6 @@ class ConfluxSchedule(Schedule):
         grid = self.grid
         pr, pc = grid.rows, grid.cols
         nb = n // v
-        for bi in range(nb):
-            for bj in range(nb):
-                r0 = grid.rank(bi % pr, bj % pc, 0)
-                if in_name is not None:
-                    tile = machine.store(r0).get((in_name, bi, bj))
-                    machine.store(r0).put(("P", bi, bj),
-                                          np.array(tile, dtype=np.float64))
-                for k in range(1, c):
-                    machine.store(grid.rank(bi % pr, bj % pc, k)).put(
-                        ("P", bi, bj), np.zeros((v, v)))
         if in_name is None:
             if a is None:
                 rng = rng or np.random.default_rng(0)
@@ -398,12 +413,22 @@ class ConfluxSchedule(Schedule):
             a = np.asarray(a, dtype=np.float64)
             if a.shape != (n, n):
                 raise ValueError(f"matrix shape {a.shape} != ({n},{n})")
+        else:
+            a = None                  # layer 0 adopts the in_name tiles
+        st = _DistState(n, rank_local_tiles(grid, nb, v, a))
+        # Adopted tiles go in tile by tile with their zero replicas; a
+        # dense input's layer 0 goes in after all the zero replicas.
+        passes = [range(c)] if a is None else [range(1, c), range(1)]
+        for layers in passes:
             for bi in range(nb):
                 for bj in range(nb):
-                    machine.store(grid.rank(bi % pr, bj % pc, 0)).put(
-                        ("P", bi, bj),
-                        a[bi * v:(bi + 1) * v, bj * v:(bj + 1) * v].copy())
-        return _DistState(n)
+                    for k in layers:
+                        r = grid.rank(bi % pr, bj % pc, k)
+                        tile = st.local[r][bi // pr, bj // pc]
+                        if k == 0 and a is None:
+                            tile[...] = machine.store(r).get((in_name, bi, bj))
+                        machine.store(r).put(("P", bi, bj), tile)
+        return st
 
     def dist_step(self, machine: Machine, st: _DistState, t: int) -> None:
         n, v, c = self.n, self.v, self.c
@@ -516,11 +541,18 @@ class ConfluxSchedule(Schedule):
         # local Schur update.
         if n11 > 0 and nonpiv.size:
             planes = v // c
-            nonpiv_by_tile: dict[int, np.ndarray] = {}
-            for bi in range(nb):
-                sel = nonpiv[(nonpiv >= bi * v) & (nonpiv < (bi + 1) * v)]
-                if sel.size:
-                    nonpiv_by_tile[bi] = sel
+            # Per grid row, its tile rows grouped by nonpivot row count
+            # r: (local tile rows, (tiles, r) global row ids, in-tile
+            # row offsets), shaped for indexing the rank-local array.
+            bis, starts, counts = np.unique(nonpiv // v, return_index=True,
+                                            return_counts=True)
+            row_groups: list[list[tuple]] = [[] for _ in range(pr)]
+            for q, r in dict.fromkeys(zip((bis % pr).tolist(),
+                                          counts.tolist())):
+                sel = np.flatnonzero((bis % pr == q) & (counts == r))
+                gids = nonpiv[starts[sel, None] + np.arange(r)]
+                row_groups[q].append((bis[sel, None, None] // pr, gids,
+                                      (gids % v)[:, None, :]))
             a10_pieces = plane_pieces(a10_chunks, v, pr, planes, c, axis=0)
             a01_pieces = plane_pieces(a01_chunks, v, pc, planes, c, axis=1)
             rpos = np.zeros(n, dtype=int)
@@ -534,28 +566,26 @@ class ConfluxSchedule(Schedule):
                 [cols] = fan_in(machine, dst, [
                     (("a01d", t), a01_pieces[pj_d][pk_d], 1)])
                 # Step 11: local update of this rank's trailing tiles,
-                # one product per tile on C-contiguous operands.
+                # one stacked product per group of tile rows with equal
+                # nonpivot counts; every slice is the per-tile product
+                # on C-contiguous operands.
                 if rows is None or cols is None:
                     continue
                 (rids, a10_all), (cids, a01_all) = rows, cols
                 rpos[rids] = np.arange(rids.size)
                 cpos[cids] = np.arange(cids.size)
-                my_cols = [bj for bj in range(t + 1, nb) if bj % pc == pj_d]
-                a01_blks = [np.ascontiguousarray(
-                    a01_all[:, cpos[bj * v:(bj + 1) * v]]) for bj in my_cols]
-                store = machine.store(dst)
+                bjs = np.arange(t + 1 + (pj_d - t - 1) % pc, nb, pc)
+                a01_stack = np.ascontiguousarray(np.moveaxis(
+                    a01_all[:, cpos[bjs[:, None] * v + np.arange(v)]], 1, 0))
+                lj = (bjs // pc)[None, :, None]
+                local = st.local[dst]
                 nrows = 0
-                for bi, gids in nonpiv_by_tile.items():
-                    if bi % pr != pi_d:
-                        continue
-                    a10_blk = a10_all[rpos[gids]]
-                    loc = gids - bi * v
+                for li, gids, loc in row_groups[pi_d]:
+                    local[li, lj, loc] -= np.matmul(
+                        a10_all[rpos[gids]][:, None], a01_stack[None])
                     nrows += gids.size
-                    for bj, a01_blk in zip(my_cols, a01_blks):
-                        tile = store.get(("P", bi, bj))
-                        tile[loc, :] -= a10_blk @ a01_blk
                 machine.compute(dst, flops.gemm_flops(
-                    nrows, v * len(my_cols), planes))
+                    nrows, v * bjs.size, planes))
 
         for r in all_ranks:
             machine.store(r).discard(("a00", t))

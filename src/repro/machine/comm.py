@@ -162,6 +162,27 @@ class Machine:
             block = block.copy()
         self.stores[dst].put(dest_key if dest_key is not None else key, block)
 
+    def deliver(self, src: int, dst: int, key: Hashable,
+                block: np.ndarray) -> np.ndarray:
+        """Move ``block`` from ``src`` to ``dst``, which takes it out of
+        its store on arrival; returns the arrived copy.
+
+        Counts and charges exactly what placing the block in ``src``'s
+        store, :meth:`send`-ing it and popping it at ``dst`` would (the
+        sequence of :func:`~repro.engine.distops.ship` plus a pop):
+        capacity check and peak update at ``src``, the transfer, the
+        same at ``dst`` (once when ``src == dst``).  Only for a piece
+        consumed on arrival; pieces in flight together go through
+        :meth:`send`.
+        """
+        src = self._check_rank(src)
+        dst = self._check_rank(dst)
+        self.stores[src].charge_transient(key, block.size)
+        if src != dst:
+            self.stats.record_transfer(src, dst, block.size)
+            self.stores[dst].charge_transient(key, block.size)
+        return np.array(block, order="C")
+
     # ------------------------------------------------------------------
     # Collectives
     # ------------------------------------------------------------------

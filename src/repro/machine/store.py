@@ -82,11 +82,11 @@ class RankStore:
         self.step = None
         return peak
 
-    def _note_peak(self) -> None:
-        if self._words > self.peak_words:
-            self.peak_words = self._words
-        if self._words > self.step_peak_words:
-            self.step_peak_words = self._words
+    def _note_peak(self, words: int) -> None:
+        if words > self.peak_words:
+            self.peak_words = words
+        if words > self.step_peak_words:
+            self.step_peak_words = words
 
     # ------------------------------------------------------------------
     def reserve(self, words: float, key: Hashable = "<reserve>") -> None:
@@ -105,6 +105,17 @@ class RankStore:
                 self.rank, self.step, key, self._words + words,
                 self.capacity_words)
 
+    def charge_transient(self, key: Hashable, words: int) -> None:
+        """Account for ``words`` that arrive under ``key`` and leave
+        again at once: the capacity check and peak update of a
+        :meth:`put` followed by a :meth:`pop`, with nothing stored.
+        ``key`` must not be resident (it only labels a violation)."""
+        peak = self._words + words
+        if peak > self.capacity_words:
+            raise MemoryBudgetExceeded(
+                self.rank, self.step, key, peak, self.capacity_words)
+        self._note_peak(peak)
+
     def put(self, key: Hashable, value: np.ndarray | Any) -> None:
         """Insert or replace a block; enforces the capacity limit."""
         arr = np.asarray(value)
@@ -115,7 +126,7 @@ class RankStore:
                 self.capacity_words)
         self._blocks[key] = arr
         self._words += delta
-        self._note_peak()
+        self._note_peak(self._words)
 
     def get(self, key: Hashable) -> np.ndarray:
         try:

@@ -4,7 +4,14 @@
 import numpy as np
 import pytest
 
-from repro.factorizations import ConfluxLU, conflux_lu, default_block_size
+from repro.factorizations import (
+    ConfchoxSchedule,
+    ConfluxLU,
+    ConfluxSchedule,
+    conflux_lu,
+    default_block_size,
+)
+from repro.machine import Machine
 from repro.lowerbounds import lu_io_lower_bound
 from repro.models import costmodels as cm
 
@@ -90,6 +97,19 @@ class TestParameterValidation:
         algo = ConfluxLU(64, 8, v=8, c=2)
         with pytest.raises(ValueError):
             algo.run(a=np.eye(32))
+
+    @pytest.mark.parametrize("schedule_cls", [ConfluxSchedule,
+                                              ConfchoxSchedule])
+    def test_dist_init_rejects_input_before_any_put(self, schedule_cls):
+        # A rejected matrix must leave the machine's stores untouched,
+        # not half-filled with the zero replicas of layers 1..c-1.
+        machine = Machine(16)
+        machine.store(3).put("mine", np.ones(5))
+        before = [(set(s.keys()), s.words) for s in machine.stores]
+        schedule = schedule_cls(32, 16, v=4, c=2)
+        with pytest.raises(ValueError, match="shape"):
+            schedule.dist_init(machine, np.eye(16), None)
+        assert [(set(s.keys()), s.words) for s in machine.stores] == before
 
     def test_default_block_size_properties(self):
         for n, p, c in [(1024, 64, 4), (4096, 512, 8), (512, 8, 2)]:

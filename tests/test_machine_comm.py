@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.engine.distops import ship
 from repro.machine import (
     CommunicationError,
     Machine,
+    MemoryBudgetExceeded,
     MemoryLimitError,
     RankError,
     RankStore,
@@ -82,6 +84,81 @@ class TestMachineP2P:
         m = Machine(2)
         with pytest.raises(RankError):
             m.store(5)
+
+
+class TestMachineDeliver:
+    """``deliver`` charges exactly what ``ship`` plus a pop at the
+    destination does, without the store round trip."""
+
+    @staticmethod
+    def _machine(**kw):
+        m = Machine(3, **kw)
+        m.store(0).put("r0", np.ones(5))
+        m.store(1).put("r1", np.ones(2))
+        m.begin_step("s")
+        return m
+
+    @staticmethod
+    def _state(m):
+        st = m.stats
+        return [a.tolist() for a in (
+            st.sent_words, st.recv_words, st.sent_msgs, st.recv_msgs,
+            m.peak_words_per_rank(), m.words_per_rank(),
+            np.array([s.step_peak_words for s in m.stores]))]
+
+    @staticmethod
+    def _ship_pop(m, src, dst, key, block):
+        ship(m, src, dst, key, block)
+        return m.store(dst).pop(key)
+
+    @pytest.mark.parametrize("src,dst", [(0, 1), (1, 0), (1, 1)])
+    def test_matches_ship_then_pop(self, src, dst):
+        block = np.arange(12.0).reshape(3, 4)[:, ::2]   # strided
+        ref, got = self._machine(), self._machine()
+        want = self._ship_pop(ref, src, dst, ("k", 1), block)
+        out = got.deliver(src, dst, ("k", 1), block)
+        assert self._state(got) == self._state(ref)
+        assert ("k", 1) not in got.store(src)
+        assert ("k", 1) not in got.store(dst)
+        np.testing.assert_array_equal(out, want)
+        assert out.flags.c_contiguous
+        out[0, 0] = -1.0
+        assert block[0, 0] == 0.0                        # a copy
+
+    @pytest.mark.parametrize("src,dst,where", [
+        (0, 1, 0),    # 5 resident + 4 > 8 at the source
+        (2, 0, 0),    # fits at the source, overflows at the destination
+        (1, 1, None),  # fits: 2 + 4 <= 8 on the one rank
+    ])
+    def test_budget_violations_match_ship(self, src, dst, where):
+        block = np.ones(4)
+        ref = self._machine(mem_words=8, enforce_memory=True)
+        got = self._machine(mem_words=8, enforce_memory=True)
+        if where is None:
+            self._ship_pop(ref, src, dst, "k", block)
+            got.deliver(src, dst, "k", block)
+        else:
+            with pytest.raises(MemoryBudgetExceeded) as want:
+                self._ship_pop(ref, src, dst, "k", block)
+            with pytest.raises(MemoryBudgetExceeded) as exc:
+                got.deliver(src, dst, "k", block)
+            fields = ("rank", "step", "key", "needed_words",
+                      "capacity_words")
+            assert ([getattr(exc.value, f) for f in fields]
+                    == [getattr(want.value, f) for f in fields])
+            assert exc.value.rank == where
+            # An aborted ship leaves its transient copy at the source;
+            # an aborted deliver leaves nothing behind.
+            assert got.words_per_rank().tolist() == [5, 2, 0]
+            ref.store(src).discard("k")
+        assert self._state(got) == self._state(ref)
+
+    @pytest.mark.parametrize("src,dst", [(0, 3), (-1, 0), (7, 7)])
+    def test_bad_rank(self, src, dst):
+        m = Machine(3)
+        with pytest.raises(RankError):
+            m.deliver(src, dst, "k", np.ones(2))
+        assert m.stats.total_recv_words == 0
 
 
 class TestMachineCollectives:
